@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, OracleSizeError
+from .model import _edge_distance_cut
 
 _ORACLE_LIMITS = {"users": 4, "stations": 2, "subcarriers": 4, "power_levels": 3}
 
@@ -95,19 +96,9 @@ def cellular_rates(alloc: CellularAllocation, gains: np.ndarray, noise_power: fl
                    slices=(), edge_flags=None) -> CellularReport:
     """Per-user and per-slice rates for a validated allocation."""
     gains = np.asarray(gains, dtype=float)
-    u = gains.shape[0]
-    validate_allocation(alloc, u, budgets=alloc.power.sum(axis=1) + 1.0)
-    rates = _sinr_rates(alloc.power, gains, noise_power)
-    per_user = np.zeros(u)
-    b, s = alloc.assignment.shape
-    for bs in range(b):
-        for n in range(s):
-            holder = alloc.assignment[bs, n]
-            if holder >= 0:
-                per_user[holder] += rates[holder, bs, n]
-    per_slice = np.array([per_user[sorted(sl.user_ids)].sum() if sl.user_ids else 0.0
-                          for sl in slices])
-    return CellularReport(per_user_rate=per_user, per_slice_rate=per_slice,
+    validate_allocation(alloc, gains.shape[0], budgets=alloc.power.sum(axis=1) + 1.0)
+    per_user = _user_rates(alloc, gains, noise_power)
+    return CellularReport(per_user_rate=per_user, per_slice_rate=_slice_rates(per_user, slices),
                           cell_edge_flags=edge_flags)
 
 
@@ -116,13 +107,8 @@ def classify_cell_edge(positions, stations, edge_threshold: float) -> np.ndarray
     minimum inter-BS distance."""
     if not 0 < edge_threshold < 1:
         raise ConfigError("edge threshold must lie in (0, 1)")
-    if len(stations) < 2:
-        raise ConfigError("cell-edge classification needs at least two BSs")
+    cut = _edge_distance_cut(stations, edge_threshold)
     xy = np.array([bs.position for bs in stations], dtype=float)
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    cut = edge_threshold * dist.min() / 2.0
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     dnear = np.linalg.norm(positions[:, None, :] - xy[None, :, :], axis=-1).min(axis=1)
     return dnear >= cut
@@ -233,18 +219,8 @@ def _resource_step(association, gains, budgets, noise, reservations, slice_of_us
                     k = slice_of_user[owners[n]]
                     if k >= 0:
                         deficits[k] = max(0.0, deficits[k] - est[n])
-            held = owners >= 0
-            power[bs, :] = 0.0
-            if held.any():
-                other = power.copy()
-                other[bs, :] = 0.0
-                idx = np.flatnonzero(held)
-                inv = np.empty(len(idx))
-                for j, n in enumerate(idx):
-                    i = owners[n]
-                    interf = float((other[:, n] * gains[i, :, n]).sum())
-                    inv[j] = (noise + interf) / gains[i, bs, n]
-                power[bs, idx] = _waterfill(inv, budgets[bs])
+            power = _rewaterfill_bs(CellularAllocation(association, assignment, power), bs,
+                                    np.flatnonzero(owners >= 0), gains, budgets, noise).power
         if (assignment == prev_assignment).all() and \
                 np.abs(power - prev_power).max() < options.convergence_tolerance:
             break
@@ -650,48 +626,29 @@ def brute_force_cellular_oracle(gains, budgets, slices,
                     ur[held, col[held]] += rates[col[held], bs, n]
                 per_bs_maps.append(maps)
                 per_bs_user_rates.append(ur)
-            ua = per_bs_user_rates[0]
-            if b == 2:
-                ub = per_bs_user_rates[1]
-                total = ua.sum(axis=1)[:, None] + ub.sum(axis=1)[None, :]
+            # each BS's owner maps vary independently: broadcast one axis per BS
+            total = np.zeros(())
+            sl_tot = np.zeros((1,) * b + (reservations.size,))
+            for bs, ur in enumerate(per_bs_user_rates):
+                axis = [1] * b
+                axis[bs] = ur.shape[0]
+                total = total + ur.sum(axis=1).reshape(axis)
                 if reservations.size:
-                    sl_a = np.stack([ua[:, mk].sum(axis=1) if mk.size else np.zeros(ua.shape[0])
-                                     for mk in members], axis=1)
-                    sl_b = np.stack([ub[:, mk].sum(axis=1) if mk.size else np.zeros(ub.shape[0])
-                                     for mk in members], axis=1)
-                    sl_tot = sl_a[:, None, :] + sl_b[None, :, :]
-                    feas = (sl_tot >= reservations[None, None, :] - tol).all(axis=2)
-                    scale = ((sl_tot + tol) / np.maximum(reservations[None, None, :], 1e-12)) \
-                        .min(axis=2) if (reservations > 0).any() else np.ones_like(total)
-                    scale = np.where((reservations > 0).any(), scale, 1.0)
-                else:
-                    feas = np.ones_like(total, dtype=bool)
-                    scale = np.ones_like(total)
-                score = np.where(feas, total, -np.inf)
-                ia, ib = np.unravel_index(int(np.argmax(score)), score.shape)
-                val = float(score[ia, ib])
-                smax = float(scale.max())
-                sflat = int(np.argmax(scale))
-                sa, sb = np.unravel_index(sflat, scale.shape)
-                pick_maps = (per_bs_maps[0][ia], per_bs_maps[1][ib])
-                scale_maps = (per_bs_maps[0][sa], per_bs_maps[1][sb])
+                    sl = np.stack([ur[:, mk].sum(axis=1) if mk.size else np.zeros(ur.shape[0])
+                                   for mk in members], axis=1)
+                    sl_tot = sl_tot + sl.reshape(axis + [reservations.size])
+            if reservations.size:
+                feas = (sl_tot >= reservations - tol).all(axis=-1)
+                scale = ((sl_tot + tol) / np.maximum(reservations, 1e-12)).min(axis=-1) \
+                    if (reservations > 0).any() else np.ones_like(total)
             else:
-                total = ua.sum(axis=1)
-                if reservations.size:
-                    sl_a = np.stack([ua[:, mk].sum(axis=1) if mk.size else np.zeros(ua.shape[0])
-                                     for mk in members], axis=1)
-                    feas = (sl_a >= reservations[None, :] - tol).all(axis=1)
-                    scale = ((sl_a + tol) / np.maximum(reservations[None, :], 1e-12)).min(axis=1) \
-                        if (reservations > 0).any() else np.ones_like(total)
-                else:
-                    feas = np.ones_like(total, dtype=bool)
-                    scale = np.ones_like(total)
-                score = np.where(feas, total, -np.inf)
-                ia = int(np.argmax(score))
-                val = float(score[ia])
-                smax = float(scale.max())
-                pick_maps = (per_bs_maps[0][ia],)
-                scale_maps = (per_bs_maps[0][int(np.argmax(scale))],)
+                feas = np.ones_like(total, dtype=bool)
+                scale = np.ones_like(total)
+            score = np.where(feas, total, -np.inf)
+            pick = np.unravel_index(int(np.argmax(score)), score.shape)
+            val = float(score[pick])
+            smax = float(scale.max())
+            pick_maps = [maps[i] for maps, i in zip(per_bs_maps, pick)]
             if val > best_val:
                 best_val = val
                 assignment = np.stack(pick_maps)

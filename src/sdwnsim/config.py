@@ -92,6 +92,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         problems.append(f"scenario_kind must be wlan or cellular, got {kind!r}")
 
     region = data["region"]
+    if not isinstance(region, dict):
+        raise ConfigError("region must be an object with width and height")
     _reject_unknown(region, {"width", "height"}, "region")
     if not (region.get("width", 0) > 0 and region.get("height", 0) > 0):
         problems.append("region width and height must be positive")
@@ -139,7 +141,11 @@ def parse_config(data: dict) -> ScenarioConfig:
         if iso not in ("strict", "best_effort"):
             problems.append(f"slices[{i}]: unknown isolation {iso!r}")
             iso = "strict"
-        res = float(s.get("reservation", 0.0))
+        try:
+            res = float(s.get("reservation", 0.0))
+        except (TypeError, ValueError):
+            problems.append(f"slices[{i}]: reservation must be a number")
+            res = 0.0
         if res < 0 or (kind == WLAN and res > 1):
             problems.append(f"slices[{i}]: reservation out of range")
             res = 0.0

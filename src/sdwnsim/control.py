@@ -4,18 +4,23 @@ Three roles passing values in one process: the virtual-network manager
 translates SLAs into solver constraints, the common manager schedules the
 shared pool by dispatching to the scenario solvers, and the local manager
 maps schedules onto physical parameters and reports RAN measurements.
+Reservations that cannot be met raise InfeasibleError when a reserved slice
+is strict; when all are best effort they are scaled by the maximal uniform
+factor and the schedule is marked scaled.
 Epoch counters guard against out-of-order application of schedules.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cellular, wlan
 from .errors import ConfigError, InfeasibleError, KindMismatchError, StaleEpochError
+from .model import slice_specs
 
 WLAN_KIND = "wlan"
 CELLULAR_KIND = "cellular"
+GUARANTEE_KIND = {WLAN_KIND: "airtime", CELLULAR_KIND: "min_rate"}
 
 
 @dataclass(frozen=True)
@@ -102,11 +107,9 @@ class PhysicalConfig:
 
 def vrm_translate(sla: SlaSpec, ran_kind: str) -> Constraint:
     """Translate one SP's SLA into a solver constraint for its RAN kind."""
-    if ran_kind == WLAN_KIND and sla.guarantee_kind != "airtime":
-        raise KindMismatchError("WLAN RANs take airtime guarantees, got "
-                                f"{sla.guarantee_kind!r} for slice {sla.slice_id}")
-    if ran_kind == CELLULAR_KIND and sla.guarantee_kind != "min_rate":
-        raise KindMismatchError("cellular RANs take min_rate guarantees, got "
+    expected = GUARANTEE_KIND.get(ran_kind, sla.guarantee_kind)
+    if sla.guarantee_kind != expected:
+        raise KindMismatchError(f"{ran_kind} RANs take {expected} guarantees, got "
                                 f"{sla.guarantee_kind!r} for slice {sla.slice_id}")
     return Constraint(slice_id=sla.slice_id, kind=sla.guarantee_kind,
                       value=sla.guarantee_value,
@@ -130,49 +133,6 @@ def lrm_report(ran: RanState) -> MeasurementReport:
                              user_slice_ids=ran.user_slice_ids.copy())
 
 
-def _slices_from_constraints(constraints, report):
-    from .model import SliceSpec
-    slices = []
-    for c in constraints:
-        members = frozenset(int(i) for i in np.flatnonzero(report.user_slice_ids == c.slice_id))
-        slices.append(SliceSpec(slice_id=c.slice_id, reservation=c.value, user_ids=members))
-    return slices
-
-
-def _schedule_wlan(constraints, report, options):
-    slices = _slices_from_constraints(constraints, report)
-    baseline = wlan.max_snr_wlan(report.gains, report.rates)
-    try:
-        sol = wlan.optimize_tau(report.rates, slices, options, baseline_tau=baseline)
-        return sol.tau, False, 1.0, sol.per_sp_airtime, sol.objective
-    except InfeasibleError as err:
-        if not all(c.scalable for c in constraints if c.value > 0):
-            raise
-        scaled = [type(sl)(sl.slice_id, err.scaling * sl.reservation, sl.user_ids)
-                  for sl in slices]
-        sol = wlan.optimize_tau(report.rates, scaled, options, baseline_tau=baseline)
-        return sol.tau, True, err.scaling, sol.per_sp_airtime, sol.objective
-
-
-def _schedule_cellular(constraints, report, options):
-    slices = _slices_from_constraints(constraints, report)
-    baseline = cellular.max_snr_cellular(report.gains, report.budgets, report.noise_power)
-    try:
-        alloc = cellular.solve_joint_allocation(report.gains, report.budgets, slices,
-                                                options, baseline=baseline,
-                                                noise_power=report.noise_power)
-        return alloc, False, 1.0
-    except InfeasibleError as err:
-        if not all(c.scalable for c in constraints if c.value > 0):
-            raise
-        scaled = [type(sl)(sl.slice_id, err.scaling * sl.reservation, sl.user_ids)
-                  for sl in slices]
-        alloc = cellular.solve_joint_allocation(report.gains, report.budgets, scaled,
-                                                options, baseline=baseline,
-                                                noise_power=report.noise_power)
-        return alloc, True, err.scaling
-
-
 class CommonResourceManager:
     """SD-CRM: schedules the pooled resources of all registered RANs.
 
@@ -187,7 +147,13 @@ class CommonResourceManager:
         self._epochs = {}
 
     def crm_schedule(self, constraints_by_ran: dict, reports) -> list:
-        """Dispatch each RAN's constraints and report to its solver."""
+        """Schedule each RAN with its scenario solver.
+
+        When the reservations cannot all be met, InfeasibleError carries the
+        maximal uniform scaling. It propagates if some reserved slice is
+        strict; if all are scalable, the RAN is re-solved at the scaled
+        reservations and its schedule is marked scaled.
+        """
         reports_by_ran = {r.ran_id: r for r in reports}
         schedules = []
         for ran_id in sorted(constraints_by_ran):
@@ -196,26 +162,48 @@ class CommonResourceManager:
             report = reports_by_ran[ran_id]
             constraints = constraints_by_ran[ran_id]
             for c in constraints:
-                expected = "airtime" if report.kind == WLAN_KIND else "min_rate"
-                if c.kind != expected:
+                if c.kind != GUARANTEE_KIND[report.kind]:
                     raise KindMismatchError(
                         f"RAN {ran_id} ({report.kind}) got a {c.kind} constraint")
             epoch = self._epochs.get(ran_id, 0) + 1
             self._epochs[ran_id] = epoch
-            if report.kind == WLAN_KIND:
-                tau, scaled, scaling, airtimes, objective = _schedule_wlan(
-                    constraints, report, self.wlan_options)
-                schedules.append(ResourceBlockSchedule(
-                    ran_id=ran_id, kind=WLAN_KIND, epoch=epoch, allocation=tau,
-                    scaled=scaled, scaling=scaling, per_sp_airtime=airtimes,
-                    objective=objective))
-            else:
-                alloc, scaled, scaling = _schedule_cellular(
-                    constraints, report, self.cellular_options)
-                schedules.append(ResourceBlockSchedule(
-                    ran_id=ran_id, kind=CELLULAR_KIND, epoch=epoch, allocation=alloc,
-                    scaled=scaled, scaling=scaling))
+            solve = self._solver(report)
+            slices = slice_specs(report.user_slice_ids,
+                                 [(c.slice_id, c.value) for c in constraints])
+            scaled, scaling = False, 1.0
+            try:
+                allocation, airtimes, objective = solve(slices)
+            except InfeasibleError as err:
+                if not all(c.scalable for c in constraints if c.value > 0):
+                    raise
+                scaled, scaling = True, err.scaling
+                allocation, airtimes, objective = solve(
+                    [replace(sl, reservation=err.scaling * sl.reservation) for sl in slices])
+            schedules.append(ResourceBlockSchedule(
+                ran_id=ran_id, kind=report.kind, epoch=epoch, allocation=allocation,
+                scaled=scaled, scaling=scaling, per_sp_airtime=airtimes,
+                objective=objective))
         return schedules
+
+    def _solver(self, report):
+        """The report's scenario solver, warm-started from its Max-SNR baseline,
+        as slices -> (allocation, per-slice airtime, objective)."""
+        if report.kind == WLAN_KIND:
+            baseline = wlan.max_snr_wlan(report.gains, report.rates)
+
+            def solve(slices):
+                sol = wlan.optimize_tau(report.rates, slices, self.wlan_options,
+                                        baseline_tau=baseline)
+                return sol.tau, sol.per_sp_airtime, sol.objective
+            return solve
+        baseline = cellular.max_snr_cellular(report.gains, report.budgets, report.noise_power)
+
+        def solve(slices):
+            alloc = cellular.solve_joint_allocation(report.gains, report.budgets, slices,
+                                                    self.cellular_options, baseline=baseline,
+                                                    noise_power=report.noise_power)
+            return alloc, None, 0.0
+        return solve
 
 
 class LocalResourceManager:

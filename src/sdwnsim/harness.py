@@ -5,6 +5,11 @@ entropy = master_seed and spawn_key = (trial_index, stream_id), where stream
 ids 0/1/2 cover deployment, slice assignment and fading. Each trial is fully
 self-contained, so adding replications never reshuffles existing ones and
 records are byte-identical regardless of the parallelism degree.
+
+run_trial and verify_oracle draw their instances through one build_instance.
+An SDWN trial makes one scheduling call: reservations that cannot be met are
+scaled by the maximal uniform factor and recorded as scaled_infeasible,
+whether the slice's isolation is strict or best effort.
 """
 
 import os
@@ -16,10 +21,10 @@ import numpy as np
 
 from . import cellular, control, metrics, wlan
 from .config import CELLULAR, WLAN, ScenarioConfig
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .model import (AccessPoint, ChannelParams, DeploymentParams, LoadSplit, Region,
-                    SliceSpec, assign_slices, gain_matrix, gain_tensor,
-                    generate_edge_weighted_users, generate_ppp_users, wlan_rate_matrix)
+                    assign_slices, gain_matrix, gain_tensor, generate_edge_weighted_users,
+                    generate_ppp_users, slice_specs, wlan_rate_matrix)
 
 STREAM_DEPLOY = 0
 STREAM_SLICES = 1
@@ -82,26 +87,32 @@ def _nodes(cfg: ScenarioConfig):
                         tx_power=n.tx_power) for n in cfg.nodes]
 
 
-def _slice_specs(cfg: ScenarioConfig, slice_ids: np.ndarray):
-    specs = []
-    for sc in cfg.slices:
-        members = frozenset(int(i) for i in np.flatnonzero(slice_ids == sc.slice_id))
-        specs.append(SliceSpec(slice_id=sc.slice_id, reservation=sc.reservation,
-                               user_ids=members, isolation=sc.isolation))
-    return specs
-
-
 def _solver_options(cfg: ScenarioConfig):
-    wl = wlan.WlanSolverOptions(**cfg.wlan_solver) if cfg.wlan_solver \
-        else wlan.WlanSolverOptions()
-    cl = cellular.CellularSolverOptions(**cfg.cellular_solver) if cfg.cellular_solver \
-        else cellular.CellularSolverOptions()
-    return wl, cl
+    return (wlan.WlanSolverOptions(**cfg.wlan_solver),
+            cellular.CellularSolverOptions(**cfg.cellular_solver))
 
 
-def run_trial(cfg: ScenarioConfig, trial: int, policy: str) -> TrialDetail:
-    """One seeded trial under one policy, through the control plane."""
-    t0 = time.perf_counter()
+@dataclass
+class Instance:
+    """One realized trial: its nodes, users, slices and channel state."""
+
+    nodes: list
+    params: ChannelParams
+    positions: np.ndarray                # (N, 2)
+    slice_ids: np.ndarray                # (N,) slice id per user
+    slices: list                         # SliceSpec per configured slice
+    gains: np.ndarray = None             # (N, A), WLAN
+    rates: np.ndarray = None             # (N, A), WLAN
+    gain_tensor: np.ndarray = None       # (N, B, S), cellular
+    budgets: np.ndarray = None           # (B,), cellular
+
+
+def build_instance(cfg: ScenarioConfig, trial: int) -> Instance:
+    """Draw one trial's users, slices and channel from its seed streams.
+
+    The model functions are called through this module's globals, so a
+    wrapper installed on them here sees every instance run and oracle build.
+    """
     region = Region(*cfg.region)
     nodes = _nodes(cfg)
     params = _channel_params(cfg)
@@ -119,120 +130,81 @@ def run_trial(cfg: ScenarioConfig, trial: int, policy: str) -> TrialDetail:
     else:
         positions = generate_ppp_users(region, deployment, len(nodes), deploy_seed)
     slice_ids = assign_slices(len(positions), split, slice_seed)
-    slices = _slice_specs(cfg, slice_ids)
-    wlan_opts, cell_opts = _solver_options(cfg)
-
+    slices = slice_specs(slice_ids, [(sc.slice_id, sc.reservation) for sc in cfg.slices])
+    inst = Instance(nodes=nodes, params=params, positions=positions, slice_ids=slice_ids,
+                    slices=slices)
     if cfg.scenario_kind == WLAN:
-        detail = _run_wlan_trial(cfg, nodes, params, positions, slice_ids, slices,
-                                 policy, wlan_opts, fading_seed)
+        inst.gains = gain_matrix(positions, nodes, params, fading_seed)
+        inst.rates = wlan_rate_matrix(inst.gains, nodes, params, cfg.rate_table)
     else:
-        detail = _run_cellular_trial(cfg, nodes, params, positions, slice_ids, slices,
-                                     policy, cell_opts, fading_seed)
-    detail.record.trial = trial
-    detail.record.wall_time = time.perf_counter() - t0
-    return detail
+        inst.gain_tensor = gain_tensor(positions, nodes, cfg.subcarriers, params, fading_seed)
+        inst.budgets = np.array([n.tx_power for n in nodes], dtype=float)
+    return inst
 
 
-def _finish_record(cfg, policy, status, scaling, per_sp, per_user, edge_flags):
-    total = float(np.sum(per_sp))
-    jain = metrics.jain_index(per_sp) if total > 0 else 0.0
-    edge_median = 0.0
-    center_median = 0.0
-    if per_user is not None and edge_flags is not None and len(per_user):
-        flags = np.asarray(edge_flags, dtype=bool)
-        if flags.any():
-            edge_median = metrics.empirical_cdf(per_user[flags]).median()
-        if (~flags).any():
-            center_median = metrics.empirical_cdf(per_user[~flags]).median()
-    sp = list(np.asarray(per_sp, dtype=float)) + [0.0, 0.0]
-    return ResultRecord(
-        scenario_id=cfg.scenario_id, trial=0, policy=policy,
+def run_trial(cfg: ScenarioConfig, trial: int, policy: str) -> TrialDetail:
+    """One seeded trial under one policy, through the control plane."""
+    t0 = time.perf_counter()
+    inst = build_instance(cfg, trial)
+    allocation, status, scaling = _allocate(cfg, inst, policy)
+    edge_flags = _edge_flags_or_none(cfg, inst.positions, inst.nodes)
+    if cfg.scenario_kind == WLAN:
+        rep = wlan.wlan_throughput(allocation, inst.rates, inst.slices)
+        per_sp, per_user = rep.per_sp, rep.per_user_per_ap.sum(axis=1)
+        airtime = rep.per_sp_airtime
+    else:
+        rep = cellular.cellular_rates(allocation, inst.gain_tensor, inst.params.noise_power,
+                                      inst.slices, edge_flags=edge_flags)
+        per_sp, per_user, airtime = rep.per_slice_rate, rep.per_user_rate, None
+    summary = metrics.aggregate_trial(per_sp, per_user, edge_flags)
+    sp = summary["per_sp_throughput"] + (0.0, 0.0)
+    rec = ResultRecord(
+        scenario_id=cfg.scenario_id, trial=trial, policy=policy,
         lambda_mean=float(cfg.deployment["lambda_mean"]),
         rho1=float(cfg.load_split["rho1"]),
-        total_throughput=total, sp1_throughput=float(sp[0]), sp2_throughput=float(sp[1]),
-        jain_index=float(jain), edge_median_rate=float(edge_median),
-        center_median_rate=float(center_median), solver_status=status,
-        scaling=float(scaling))
+        total_throughput=summary["total_throughput"], sp1_throughput=sp[0],
+        sp2_throughput=sp[1], jain_index=summary["jain_index"],
+        edge_median_rate=summary["edge_median_rate"],
+        center_median_rate=summary["center_median_rate"], solver_status=status,
+        wall_time=time.perf_counter() - t0, scaling=float(scaling))
+    return TrialDetail(record=rec, per_user_rate=per_user, edge_flags=edge_flags,
+                       per_sp_airtime=airtime, user_slice_ids=inst.slice_ids)
+
+
+def _allocate(cfg, inst, policy):
+    """(allocation, solver status, scaling) of one policy on one instance.
+
+    SDWN runs the control chain once: VRM translation, one CRM scheduling
+    call, LRM application. Strict and best-effort infeasibility are recorded
+    alike (scaled_infeasible at the maximal uniform scaling), so every
+    constraint is sent as scalable and the CRM returns the scaled schedule
+    instead of raising and being asked again.
+    """
+    if policy == "max_snr":
+        if cfg.scenario_kind == WLAN:
+            return wlan.max_snr_wlan(inst.gains, inst.rates), "baseline", 1.0
+        return cellular.max_snr_cellular(inst.gain_tensor, inst.budgets,
+                                         inst.params.noise_power), "baseline", 1.0
+    ran = control.RanState(ran_id=0, kind=cfg.scenario_kind, user_slice_ids=inst.slice_ids,
+                           gains=inst.gains, rates=inst.rates, gain_tensor=inst.gain_tensor,
+                           budgets=inst.budgets, noise_power=inst.params.noise_power)
+    guarantee = control.GUARANTEE_KIND[cfg.scenario_kind]
+    constraints = [replace(control.vrm_translate(
+        control.SlaSpec(sc.slice_id, guarantee, sc.reservation, sc.isolation),
+        cfg.scenario_kind), scalable=True) for sc in cfg.slices]
+    wlan_opts, cell_opts = _solver_options(cfg)
+    crm = control.CommonResourceManager(wlan_options=wlan_opts, cellular_options=cell_opts)
+    schedule = crm.crm_schedule({0: constraints}, [control.lrm_report(ran)])[0]
+    control.LocalResourceManager().lrm_apply(schedule)
+    if schedule.scaled:
+        return schedule.allocation, "scaled_infeasible", schedule.scaling
+    return schedule.allocation, "optimal", 1.0
 
 
 def _edge_flags_or_none(cfg, positions, nodes):
     if len(positions) == 0 or len(nodes) < 2:
         return None
     return cellular.classify_cell_edge(positions, nodes, cfg.edge_threshold)
-
-
-def _run_wlan_trial(cfg, nodes, params, positions, slice_ids, slices, policy,
-                    options, fading_seed):
-    gains = gain_matrix(positions, nodes, params, fading_seed)
-    rates = wlan_rate_matrix(gains, nodes, params, cfg.rate_table)
-    status, scaling = "optimal", 1.0
-    if policy == "max_snr":
-        tau = wlan.max_snr_wlan(gains, rates)
-        status = "baseline"
-    else:
-        ran = control.RanState(ran_id=0, kind=control.WLAN_KIND,
-                               user_slice_ids=slice_ids, gains=gains, rates=rates,
-                               noise_power=params.noise_power)
-        report = control.lrm_report(ran)
-        constraints = [control.vrm_translate(
-            control.SlaSpec(sc.slice_id, "airtime", sc.reservation, sc.isolation),
-            control.WLAN_KIND) for sc in cfg.slices]
-        crm = control.CommonResourceManager(wlan_options=options)
-        try:
-            schedule = crm.crm_schedule({0: constraints}, [report])[0]
-        except control.InfeasibleError as err:
-            # strict isolation: surfaced, recorded as scaled, re-solved for reporting
-            constraints = [replace(c, scalable=True) for c in constraints]
-            schedule = crm.crm_schedule({0: constraints}, [report])[0]
-            schedule.scaled, schedule.scaling = True, err.scaling
-        control.LocalResourceManager().lrm_apply(schedule)
-        tau = schedule.allocation
-        if schedule.scaled:
-            status, scaling = "scaled_infeasible", schedule.scaling
-    report_tp = wlan.wlan_throughput(tau, rates, slices)
-    per_user = report_tp.per_user_per_ap.sum(axis=1)
-    edge_flags = _edge_flags_or_none(cfg, positions, nodes)
-    rec = _finish_record(cfg, policy, status, scaling, report_tp.per_sp, per_user,
-                         edge_flags)
-    return TrialDetail(record=rec, per_user_rate=per_user, edge_flags=edge_flags,
-                       per_sp_airtime=report_tp.per_sp_airtime,
-                       user_slice_ids=slice_ids)
-
-
-def _run_cellular_trial(cfg, nodes, params, positions, slice_ids, slices, policy,
-                        options, fading_seed):
-    tensor = gain_tensor(positions, nodes, cfg.subcarriers, params, fading_seed)
-    budgets = np.array([n.tx_power for n in nodes], dtype=float)
-    status, scaling = "optimal", 1.0
-    if policy == "max_snr":
-        alloc = cellular.max_snr_cellular(tensor, budgets, params.noise_power)
-        status = "baseline"
-    else:
-        ran = control.RanState(ran_id=0, kind=control.CELLULAR_KIND,
-                               user_slice_ids=slice_ids, gain_tensor=tensor,
-                               budgets=budgets, noise_power=params.noise_power)
-        report = control.lrm_report(ran)
-        constraints = [control.vrm_translate(
-            control.SlaSpec(sc.slice_id, "min_rate", sc.reservation, sc.isolation),
-            control.CELLULAR_KIND) for sc in cfg.slices]
-        crm = control.CommonResourceManager(cellular_options=options)
-        try:
-            schedule = crm.crm_schedule({0: constraints}, [report])[0]
-        except control.InfeasibleError as err:
-            constraints = [replace(c, scalable=True) for c in constraints]
-            schedule = crm.crm_schedule({0: constraints}, [report])[0]
-            schedule.scaled, schedule.scaling = True, err.scaling
-        control.LocalResourceManager().lrm_apply(schedule)
-        alloc = schedule.allocation
-        if schedule.scaled:
-            status, scaling = "scaled_infeasible", schedule.scaling
-    edge_flags = _edge_flags_or_none(cfg, positions, nodes)
-    rep = cellular.cellular_rates(alloc, tensor, params.noise_power, slices,
-                                  edge_flags=edge_flags)
-    rec = _finish_record(cfg, policy, status, scaling, rep.per_slice_rate,
-                         rep.per_user_rate, edge_flags)
-    return TrialDetail(record=rec, per_user_rate=rep.per_user_rate,
-                       edge_flags=edge_flags, user_slice_ids=slice_ids)
 
 
 def _worker_count(workers=None) -> int:
@@ -246,8 +218,7 @@ def _worker_count(workers=None) -> int:
 
 def _task(args):
     cfg_kw, trial, policy = args
-    cfg = ScenarioConfig(**cfg_kw)
-    return trial, policy, run_trial(cfg, trial, policy)
+    return run_trial(ScenarioConfig(**cfg_kw), trial, policy)
 
 
 def run_scenario(cfg: ScenarioConfig, policies=None, workers=None, keep_details=False):
@@ -255,9 +226,7 @@ def run_scenario(cfg: ScenarioConfig, policies=None, workers=None, keep_details=
     policies = sorted(policies) if policies else [cfg.policy]
     tasks = [(cfg.__dict__, trial, policy)
              for policy in policies for trial in range(cfg.replications)]
-    results = _execute(tasks, _worker_count(workers))
-    results.sort(key=lambda r: (r[1], r[0]))
-    details = [r[2] for r in results]
+    details = _execute(tasks, _worker_count(workers))
     if keep_details:
         return details
     return [d.record for d in details]
@@ -286,20 +255,10 @@ def sweep(cfg: ScenarioConfig, grid: dict, workers=None, keep_details=False):
     points = [()]
     for name in names:
         points = [p + ((name, v),) for p in points for v in grid[name]]
-    for point in points:
-        _config_at(cfg, point)   # validate every grid point before any run
-
-    tasks = []
-    for gi, point in enumerate(points):
-        sub = _config_at(cfg, point)
-        for policy in ("max_snr", "sdwn"):
-            for trial in range(cfg.replications):
-                tasks.append(((gi, policy, trial), (sub.__dict__, trial, policy)))
-    order = {key: i for i, (key, _) in enumerate(tasks)}
-    results = _execute([t for _, t in tasks], _worker_count(workers))
-    keyed = list(zip([k for k, _ in tasks], results))
-    keyed.sort(key=lambda kv: order[kv[0]])
-    details = [r[2] for _, r in keyed]
+    subs = [_config_at(cfg, point) for point in points]   # validates every point before any run
+    tasks = [(sub.__dict__, trial, policy) for sub in subs
+             for policy in ("max_snr", "sdwn") for trial in range(cfg.replications)]
+    details = _execute(tasks, _worker_count(workers))
     if keep_details:
         return details
     return [d.record for d in details]
@@ -381,60 +340,40 @@ class VerificationReport:
 
 
 def verify_oracle(cfg: ScenarioConfig, grid_step: float = None, trial: int = 0):
-    """Run the solver and the matching brute-force oracle on one realized
-    trial instance; report the objective gap and feasibility agreement."""
-    region = Region(*cfg.region)
-    nodes = _nodes(cfg)
-    params = _channel_params(cfg)
-    deployment = DeploymentParams(lambda_mean=float(cfg.deployment["lambda_mean"]))
-    split = LoadSplit(rho1=float(cfg.load_split["rho1"]))
-    positions = generate_ppp_users(region, deployment, len(nodes),
-                                   stream_seed(cfg.master_seed, trial, STREAM_DEPLOY))
-    slice_ids = assign_slices(len(positions), split,
-                              stream_seed(cfg.master_seed, trial, STREAM_SLICES))
-    slices = _slice_specs(cfg, slice_ids)
+    """Run the solver and the matching brute-force oracle on the instance
+    run_trial draws for `trial`; report the objective gap and feasibility
+    agreement."""
+    inst = build_instance(cfg, trial)
     wlan_opts, cell_opts = _solver_options(cfg)
-    fading_seed = stream_seed(cfg.master_seed, trial, STREAM_FADING)
-
+    noise = inst.params.noise_power
+    solver_feasible, solver_scaling = True, 1.0
     if cfg.scenario_kind == WLAN:
-        gains = gain_matrix(positions, nodes, params, fading_seed)
-        rates = wlan_rate_matrix(gains, nodes, params, cfg.rate_table)
-        oracle = wlan.brute_force_tau_oracle(rates, slices, grid_step, wlan_opts)
+        oracle = wlan.brute_force_tau_oracle(inst.rates, inst.slices, grid_step, wlan_opts)
         tolerance = 1e-2
         try:
-            sol = wlan.optimize_tau(rates, slices, wlan_opts)
-            solver_obj, solver_feasible, solver_scaling = sol.objective, True, 1.0
-        except wlan.InfeasibleError as err:
+            solver_obj = wlan.optimize_tau(inst.rates, inst.slices, wlan_opts).objective
+        except InfeasibleError as err:
             solver_obj, solver_feasible, solver_scaling = 0.0, False, err.scaling
-        agree = solver_feasible == oracle.feasible
-        if agree and not solver_feasible:
-            agree = abs(solver_scaling - oracle.scaling) <= 0.02
         gap = oracle.objective - solver_obj
-        passed = agree and gap <= tolerance
-        detail = "" if solver_feasible else \
-            f"scaling solver={solver_scaling:.4f} oracle={oracle.scaling:.4f}"
     else:
-        tensor = gain_tensor(positions, nodes, cfg.subcarriers, params, fading_seed)
-        budgets = np.array([n.tx_power for n in nodes], dtype=float)
-        oracle = cellular.brute_force_cellular_oracle(tensor, budgets, slices, cell_opts,
-                                                      noise_power=params.noise_power)
+        oracle = cellular.brute_force_cellular_oracle(inst.gain_tensor, inst.budgets,
+                                                      inst.slices, cell_opts, noise_power=noise)
         tolerance = 0.05
         try:
-            alloc = cellular.solve_joint_allocation(tensor, budgets, slices, cell_opts,
-                                                    noise_power=params.noise_power)
-            rep = cellular.cellular_rates(alloc, tensor, params.noise_power, slices)
-            solver_obj, solver_feasible, solver_scaling = \
-                float(rep.per_user_rate.sum()), True, 1.0
-        except cellular.InfeasibleError as err:
+            alloc = cellular.solve_joint_allocation(inst.gain_tensor, inst.budgets, inst.slices,
+                                                    cell_opts, noise_power=noise)
+            rep = cellular.cellular_rates(alloc, inst.gain_tensor, noise, inst.slices)
+            solver_obj = float(rep.per_user_rate.sum())
+        except InfeasibleError as err:
             solver_obj, solver_feasible, solver_scaling = 0.0, False, err.scaling
-        agree = solver_feasible == oracle.feasible
-        if agree and not solver_feasible:
-            agree = abs(solver_scaling - oracle.scaling) <= 0.02
         gap = (oracle.objective - solver_obj) / oracle.objective if oracle.objective > 0 \
             else 0.0
-        passed = agree and gap <= tolerance
-        detail = "" if solver_feasible else \
-            f"scaling solver={solver_scaling:.4f} oracle={oracle.scaling:.4f}"
+    agree = solver_feasible == oracle.feasible
+    if agree and not solver_feasible:
+        agree = abs(solver_scaling - oracle.scaling) <= 0.02
+    passed = agree and gap <= tolerance
+    detail = "" if solver_feasible else \
+        f"scaling solver={solver_scaling:.4f} oracle={oracle.scaling:.4f}"
     return VerificationReport(scenario_kind=cfg.scenario_kind, solver_objective=solver_obj,
                               oracle_objective=oracle.objective, gap=float(gap),
                               tolerance=tolerance, feasibility_agreement=agree,

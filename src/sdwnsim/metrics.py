@@ -50,19 +50,19 @@ def empirical_cdf(values) -> CdfTable:
     return CdfTable(values=v, probabilities=p)
 
 
-def aggregate_trial(per_sp_throughput, per_user_rate=None, edge_flags=None, known_user_count=None):
+def aggregate_trial(per_sp_throughput, per_user_rate=None, edge_flags=None):
     """Collect one trial's metrics: totals, per-SP split, Jain, edge/center medians.
 
     per_sp_throughput must partition the total; per_user_rate and edge_flags are
-    optional (cellular scenario) and feed the edge/center medians.
+    optional and feed the edge/center medians. A metric with no data (Jain of
+    an all-zero trial, the median of an empty group) reads 0.0, as in the
+    results CSV.
     """
     t = np.asarray(per_sp_throughput, dtype=float)
-    if known_user_count is not None and per_user_rate is not None and len(per_user_rate) != known_user_count:
-        raise ConfigError("per-user rates do not match the trial's user count")
     total = float(t.sum())
-    j = jain_index(t) if total > 0 else float("nan")
-    edge_median = float("nan")
-    center_median = float("nan")
+    j = jain_index(t) if total > 0 else 0.0
+    edge_median = 0.0
+    center_median = 0.0
     if per_user_rate is not None and edge_flags is not None:
         rates = np.asarray(per_user_rate, dtype=float)
         flags = np.asarray(edge_flags, dtype=bool)

@@ -4,7 +4,7 @@ Everything here is pure given its inputs and seed, so trial runners can call
 into it concurrently without shared state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,6 +192,14 @@ def assign_slices(n_users: int, split: LoadSplit, seed: int) -> np.ndarray:
     return np.where(draws < split.rho1, 1, 2)
 
 
+def slice_specs(slice_ids: np.ndarray, reservations) -> list:
+    """One SliceSpec per (slice_id, reservation) pair, holding the users whose
+    entry in slice_ids is that slice id."""
+    return [SliceSpec(slice_id=sid, reservation=res,
+                      user_ids=frozenset(int(i) for i in np.flatnonzero(slice_ids == sid)))
+            for sid, res in reservations]
+
+
 def channel_gain(user_position, ap: AccessPoint, params: ChannelParams, fading_draw: float = 1.0) -> float:
     """Path-loss gain between one user and one AP (distance clamped at d0)."""
     d = float(np.hypot(user_position[0] - ap.position[0], user_position[1] - ap.position[1]))
@@ -221,13 +229,7 @@ def gain_matrix(positions: np.ndarray, aps, params: ChannelParams, fading_seed=N
 
 def gain_tensor(positions: np.ndarray, aps, n_subcarriers: int, params: ChannelParams, fading_seed=None) -> np.ndarray:
     """(N, B, S) per-subcarrier gain tensor for the cellular scenario."""
-    g = gain_matrix(positions, aps, ChannelParams(
-        pathloss_exponent=params.pathloss_exponent,
-        reference_distance=params.reference_distance,
-        reference_gain=params.reference_gain,
-        noise_power=params.noise_power,
-        fading="off",
-    ))
+    g = gain_matrix(positions, aps, replace(params, fading="off"))
     t = np.repeat(g[:, :, None], n_subcarriers, axis=2)
     if params.fading == "rayleigh":
         rng = np.random.default_rng(fading_seed)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from sdwnsim.cli import main
 
 
@@ -54,6 +56,16 @@ def test_validation_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {"region": [200.0, 200.0]},
+    {"slices": [{"slice_id": 1, "reservation": "half"}, {"slice_id": 2, "reservation": 0.0}]},
+])
+def test_malformed_field_exit_code(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "bad.cfg", **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_rows_and_order(tmp_path):

@@ -1,12 +1,16 @@
 import io
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from sdwnsim import control, harness, wlan
 from sdwnsim.config import parse_config
 from sdwnsim.errors import ConfigError
 from sdwnsim.harness import (ResultRecord, read_csv, run_scenario, run_trial,
                              stream_seed, sweep, verify_oracle, write_csv)
+from sdwnsim.model import gain_tensor
 
 
 def small_wlan_config(**overrides):
@@ -165,8 +169,9 @@ def test_verify_oracle_wlan_tiny():
     assert report.gap <= report.tolerance
 
 
-def test_verify_oracle_cellular_tiny():
-    cfg = parse_config({
+def tiny_cellular_config(**overrides):
+    # two BSs and three subcarriers, within the enumeration oracle's limits
+    data = {
         "scenario_kind": "cellular",
         "scenario_id": "tiny-cell",
         "region": {"width": 1000.0, "height": 1000.0},
@@ -181,10 +186,31 @@ def test_verify_oracle_cellular_tiny():
                    {"slice_id": 2, "reservation": 0.0}],
         "master_seed": 3,
         "replications": 1,
-    })
-    report = verify_oracle(cfg)
+    }
+    data.update(overrides)
+    return parse_config(data)
+
+
+def test_verify_oracle_cellular_tiny():
+    report = verify_oracle(tiny_cellular_config())
     assert report.feasibility_agreement
     assert report.passed
+
+
+def test_verify_oracle_checks_run_trial_users(monkeypatch):
+    # edge-weighted deployment: the oracle must see the users run_trial draws
+    cfg = tiny_cellular_config(edge_fraction=0.7, master_seed=2)
+    drawn = []
+
+    def spy(positions, *args, **kwargs):
+        drawn.append(np.array(positions))
+        return gain_tensor(positions, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "gain_tensor", spy)
+    run_trial(cfg, 0, "max_snr")
+    assert verify_oracle(cfg).passed
+    assert len(drawn) == 2 and 0 < len(drawn[0]) <= 4
+    assert np.array_equal(drawn[0], drawn[1])
 
 
 def test_verify_oracle_infeasible_agreement():
@@ -204,13 +230,31 @@ def test_verify_oracle_infeasible_agreement():
     pytest.fail("no two-user deployment found in 200 seeds")
 
 
-def test_strict_infeasible_recorded_as_scaled():
+def test_strict_infeasible_recorded_as_scaled(monkeypatch):
     cfg = small_wlan_config(
         deployment={"lambda_mean": 3.0},
         load_split={"rho1": 0.0},     # slice 1 empty with certainty
         slices=[{"slice_id": 1, "reservation": 0.4, "isolation": "strict"},
                 {"slice_id": 2, "reservation": 0.0, "isolation": "strict"}],
         replications=1)
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(wlan, "optimize_tau")
+    count(control.CommonResourceManager, "crm_schedule")
     detail = run_trial(cfg, 0, "sdwn")
     assert detail.record.solver_status == "scaled_infeasible"
     assert detail.record.scaling < 0.01
+    # one scheduling call: the raising solve, then the solve at the scaled reservations
+    assert calls == {"optimize_tau": 2, "crm_schedule": 1}
+    best_effort = replace(cfg, slices=tuple(replace(s, isolation="best_effort")
+                                            for s in cfg.slices))
+    other = run_trial(best_effort, 0, "sdwn")
+    assert replace(detail.record, wall_time=0.0) == replace(other.record, wall_time=0.0)
